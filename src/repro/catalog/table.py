@@ -204,7 +204,7 @@ class Table:
         self, batch_rows: int
     ) -> Iterator[tuple[list[int], list[LazyColumn]]]:
         """Yield ``(oids, columns)`` chunks of up to ``batch_rows`` live
-        tuples in heap order — the batch executor's scan path. Each column
+        tuples in heap order — the executor's scan path. Each column
         is a :class:`LazyColumn` over the chunk's raw record bytes: nothing
         is decoded until an operator actually reads that column, so a
         selective filter never pays for the columns (or rows) it drops."""

@@ -127,14 +127,6 @@ def _env_timeout() -> float | None:
     return float(raw) if raw else None
 
 
-def _env_batch_exec() -> bool:
-    """Default execution mode from ``REPRO_BATCH_EXEC`` (off unless set
-    to a truthy value) — the whole-suite switch CI uses to run tier-1
-    under the vectorized batch executor."""
-    raw = os.environ.get("REPRO_BATCH_EXEC", "").strip().lower()
-    return raw not in ("", "0", "false", "off", "no")
-
-
 def _env_locks() -> bool:
     """Whether the per-thread default session takes table locks
     (``REPRO_LOCKS``; off unless truthy) — the whole-suite switch CI uses
@@ -264,7 +256,6 @@ class Database:
         options: PlannerOptions | None = None,
         disk: DiskManager | None = None,
         cache_bytes: int | None = None,
-        batch_exec: bool | None = None,
         summary_async: bool | str | None = None,
     ):
         # Metrics first: the resilience layer and (under REPRO_FAULT_INJECT)
@@ -312,9 +303,6 @@ class Database:
         #: seeded from REPRO_STATEMENT_TIMEOUT, overridable per call and
         #: from the REPL's ``\timeout`` command.
         self.statement_timeout = _env_timeout()
-        #: vectorized batch execution (column-batch Volcano); None reads
-        #: the REPRO_BATCH_EXEC env var.
-        self.batch_exec = _env_batch_exec() if batch_exec is None else batch_exec
         #: summary-maintenance mode: "off" (sync incremental), "coherent"
         #: (defer + regenerate at statement boundaries) or "deferred"
         #: (background worker + summary_status). None reads
@@ -562,7 +550,6 @@ class Database:
         state.setdefault("_stmt_counter", 0)
         # … and images before the resilience era lack these.
         state.setdefault("statement_timeout", None)
-        state.setdefault("batch_exec", _env_batch_exec())
         # Pre-async images default the maintenance mode from the loading
         # process's environment; newer images keep the mode they ran with.
         state.setdefault("summary_async", _env_summary_async())
@@ -1413,17 +1400,14 @@ class Database:
         return quarantined
 
     def _plan_rows(self, physical) -> list:
-        """Drain a lowered plan under the configured execution mode.
+        """Drain a lowered plan into its result tuples.
 
-        In batch mode the root operator materializes each batch's row
-        views *inside* its own instrumented iterator (see
-        ``materialize_output``), so lazily-built summary sets charge
-        their page reads to the plan — keeping EXPLAIN ANALYZE's
-        per-operator attribution exact — and stay covered by deadline
-        checkpoints.
+        The root operator materializes each batch's row views *inside* its
+        own instrumented iterator (see ``materialize_output``), so
+        lazily-built summary sets charge their page reads to the plan —
+        keeping EXPLAIN ANALYZE's per-operator attribution exact — and
+        stay covered by deadline checkpoints.
         """
-        if not self.batch_exec:
-            return list(physical.rows())
         physical.materialize_output = True
         return [
             row for batch in physical.batches() for row in batch.to_rows()

@@ -1,11 +1,11 @@
 """Per-operator execution profiling (the machinery behind EXPLAIN ANALYZE).
 
 A :class:`PlanProfiler` attaches to a physical plan before execution.  Every
-operator's iterator is then wrapped (see
-:meth:`repro.query.physical.base.PhysicalOperator.rows`) so that each
-``next()`` call charges to that operator:
+operator's batch iterator is then wrapped (see
+:meth:`repro.query.physical.base.PhysicalOperator.batches`) so that each
+``next()`` call — one batch pulled — charges to that operator:
 
-* rows produced and ``next()`` calls,
+* rows produced and ``next()`` (batch) calls,
 * wall time,
 * the buffer-pool (hits/misses) and disk (reads/writes) counter deltas
   observed across the call, and
@@ -15,7 +15,7 @@ operator's iterator is then wrapped (see
 Measurements are *inclusive* while running — a join's ``next()`` contains
 the work of the scans it pulls from — and converted to *exclusive* ("self")
 numbers at report time by subtracting the children's inclusive totals.
-Because every child row is pulled from inside some ancestor's ``next()``,
+Because every child batch is pulled from inside some ancestor's ``next()``,
 the exclusive numbers of a plan tree sum exactly to the run's totals: the
 per-operator page accesses add up to the buffer-pool delta and the
 per-operator disk reads/writes add up to the run's :class:`IOStats` delta —
@@ -79,33 +79,9 @@ class PlanProfiler:
         return self._stats[id(op)]
 
     def wrap(self, op, inner: Iterator) -> Iterator:
-        """Instrumented pass-through over one operator's row iterator."""
-        stats = self._stats[id(op)]
-        pool = self.pool
-        io = self.disk.stats
-        cache = self.cache
-        while True:
-            hits0, misses0 = pool.hits, pool.misses
-            reads0, writes0 = io.reads, io.writes
-            chits0 = cache.hits if cache is not None else 0
-            cmisses0 = cache.misses if cache is not None else 0
-            started = time.perf_counter()
-            try:
-                row = next(inner)
-            except StopIteration:
-                self._charge(stats, started, hits0, misses0, reads0, writes0,
-                             chits0, cmisses0)
-                return
-            self._charge(stats, started, hits0, misses0, reads0, writes0,
-                         chits0, cmisses0)
-            stats.rows += 1
-            yield row
-
-    def wrap_batches(self, op, inner: Iterator) -> Iterator:
-        """Batch-mode counterpart of :meth:`wrap`: one charge per batch
-        pulled, with ``rows`` advanced by the batch's row count — so the
-        per-operator row totals match tuple mode exactly, while
-        ``next_calls`` counts batch pulls."""
+        """Instrumented pass-through over one operator's batch iterator:
+        one charge per batch pulled, with ``rows`` advanced by the batch's
+        row count and ``next_calls`` counting batch pulls."""
         stats = self._stats[id(op)]
         pool = self.pool
         io = self.disk.stats

@@ -1,11 +1,10 @@
-"""Column-batch carriers for the vectorized executor.
+"""Column-batch carriers for the executor.
 
-A :class:`Batch` is the unit of work flowing between physical operators in
-batch mode (``Database(batch_exec=True)`` / ``REPRO_BATCH_EXEC``): the same
-qualified column names a :class:`~repro.query.tuples.QTuple` carries, but
-with the values held column-major, plus per-row summary-set and provenance
-slots. Batches produced by the scans keep their summary slots *lazy* — the
-SummaryStorage row of a tuple is only decoded into
+A :class:`Batch` is the unit of work flowing between physical operators:
+the same qualified column names a :class:`~repro.query.tuples.QTuple`
+carries, but with the values held column-major, plus per-row summary-set
+and provenance slots. Batches produced by the scans keep their summary
+slots *lazy* — the SummaryStorage row of a tuple is only decoded into
 :class:`~repro.summaries.objects.SummaryObject` instances when some
 consumer actually asks for that row's sets (``row(i)`` / ``to_rows()``).
 Vectorized summary predicates answer ``getSummaryObject(I).getLabelValue(L)``
@@ -15,8 +14,7 @@ so filtered-out rows never pay object construction.
 
 Batches are sized to the resilience layer's checkpoint cadence
 (:data:`~repro.resilience.context.BATCH_ROWS`): one deadline/cancellation
-check per batch preserves the "within one batch" overrun bound of tuple
-mode.
+check per batch bounds a statement's overrun to one batch.
 """
 
 from __future__ import annotations
@@ -54,7 +52,7 @@ class LazyScanSummaries:
     through :meth:`SummaryManager.summary_set_for`, then apply the retained
     column projection (annotation-effect elimination) — and memoizes the
     result so every row view of the batch shares one set, just as a single
-    QTuple would in tuple mode.
+    QTuple built by ``_make_tuple`` would.
     """
 
     __slots__ = ("ctx", "table", "alias", "oids", "with_summaries",
@@ -108,8 +106,8 @@ class LazyScanSummaries:
         Returns a per-row value list (non-active slots stay None) or None
         when the chain doesn't match the fast-path shape. Rows the storage
         layer can't answer raw (non-classifier objects, rollup labels)
-        fall back to full per-row evaluation — identical semantics,
-        tuple-mode cost.
+        fall back to full per-row evaluation — identical semantics, full
+        materialization cost.
         """
         if expr.alias is not None and expr.alias != self.alias:
             return None
@@ -259,12 +257,28 @@ class Batch:
         if row is None:
             row = QTuple(
                 self.columns,
-                [col[i] for col in self.cols],
+                self._values_at(i),
                 self.summaries.get(i),
                 self.provenance.get(i),
             )
             self._memo[i] = row
         return row
+
+    def _values_at(self, i: int) -> list:
+        """Row ``i``'s values. Adjacent unforced lazy columns of one scan
+        share the row's record bytes, so that record is decoded once for
+        all of them rather than once per column."""
+        values = []
+        record = decoded = None
+        for col in self.cols:
+            if isinstance(col, LazyColumn) and not col.forced:
+                if col.records[i] is not record:
+                    record = col.records[i]
+                    decoded = col.codec.decode(record)
+                values.append(decoded[col.index])
+            else:
+                values.append(col[i])
+        return values
 
     def to_rows(self) -> list[QTuple]:
         if self._rows is not None:

@@ -294,16 +294,16 @@ def _dispatch_object(
     )
 
 
-# -- vectorized (batch-mode) predicate evaluation -----------------------------------
+# -- vectorized predicate evaluation -------------------------------------------------
 #
 # A predicate mask is built column-at-a-time where the expression shape
 # allows it (comparisons over data columns, LIKE against a constant
 # pattern, two-link classifier summary chains) and row-at-a-time —
-# plain :func:`evaluate` on a row view — everywhere else, so batch mode
-# can never answer differently from tuple mode. AND evaluates its
-# conjuncts left-to-right over the surviving row set, mirroring tuple
-# mode's short-circuit; OR only evaluates later disjuncts on rows still
-# undecided.
+# plain :func:`evaluate` on a row view — everywhere else; scalar
+# :func:`evaluate` on each row view is the reference a mask must equal.
+# AND evaluates its conjuncts left-to-right over the surviving row set,
+# mirroring the scalar short-circuit; OR only evaluates later disjuncts on
+# rows still undecided.
 
 
 def batch_predicate_mask(expr: Expr, batch, ctx: EvalContext | None = None):

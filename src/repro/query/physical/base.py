@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.catalog.catalog import Catalog
+from repro.query.batch import Batch, batches_from_rows, rows_from_batches
 from repro.query.eval import EvalContext
 from repro.query.tuples import QTuple
 from repro.summaries.maintenance import SummaryManager
@@ -51,21 +52,28 @@ class ExecContext:
 
 
 class PhysicalOperator:
-    """Base class: every operator is an iterator of QTuples.
+    """Base class: every operator is an iterator of column batches.
 
-    Subclasses implement :meth:`_produce`; consumers call :meth:`rows`,
-    which transparently instruments the iterator when an
+    :meth:`batches` is the one pull protocol. It runs the operator's single
+    body and transparently instruments the stream when an
     :class:`~repro.obs.profile.PlanProfiler` is attached (EXPLAIN ANALYZE)
     and/or checkpoints it when an
     :class:`~repro.resilience.context.ExecutionContext` is attached
     (deadlines, cooperative cancellation). The indirection keeps the
     operators themselves free of counting and checkpoint logic.
 
-    Batch mode runs the same plan through :meth:`batches` instead: chunks
-    of :class:`~repro.query.batch.Batch` flow between operators, with the
-    same two instrumentation wrappers applied per batch. Operators without
-    a native :meth:`_produce_batches` fall back to chunking their row
-    iterator, so every plan runs in either mode.
+    An operator implements exactly one body:
+
+    * vectorized operators (scans, filters, projection, limit) override
+      :meth:`_produce_batches` and move whole
+      :class:`~repro.query.batch.Batch` chunks;
+    * row-logic operators (joins, sort, group, distinct, F, the summary
+      index scans) implement :meth:`_produce` over their children's
+      :meth:`rows`, and the default :meth:`_produce_batches` chunks their
+      output. That default is a generator, so the row body first runs
+      inside this operator's instrumented window.
+
+    :meth:`rows` is a thin flattening view of :meth:`batches`.
     """
 
     #: Set per-instance by PlanProfiler.attach(); None = unprofiled run.
@@ -82,8 +90,13 @@ class PhysicalOperator:
     def _produce(self) -> Iterator[QTuple]:
         raise NotImplementedError
 
-    def rows(self) -> Iterator[QTuple]:
-        inner = self._produce()
+    def _produce_batches(self) -> Iterator[Batch]:
+        yield from batches_from_rows(self._produce())
+
+    def batches(self) -> Iterator[Batch]:
+        inner = self._produce_batches()
+        if self.materialize_output:
+            inner = self._materialized(inner)
         if self.profiler is not None:
             inner = self.profiler.wrap(self, inner)
         if self.runtime is not None:
@@ -92,21 +105,8 @@ class PhysicalOperator:
             inner = self.runtime.wrap(self, inner)
         return inner
 
-    def _produce_batches(self):
-        """Default batch production: chunk the operator's own row logic."""
-        from repro.query.batch import batches_from_rows
-
-        yield from batches_from_rows(self._produce())
-
-    def batches(self):
-        inner = self._produce_batches()
-        if self.materialize_output:
-            inner = self._materialized(inner)
-        if self.profiler is not None:
-            inner = self.profiler.wrap_batches(self, inner)
-        if self.runtime is not None:
-            inner = self.runtime.wrap_batches(self, inner)
-        return inner
+    def rows(self) -> Iterator[QTuple]:
+        return rows_from_batches(self.batches())
 
     @staticmethod
     def _materialized(inner):

@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.query.ast import Expr
-from repro.query.batch import Batch, batches_from_rows, rows_from_batches
 from repro.query.eval import evaluate
 from repro.query.physical.base import ExecContext, PhysicalOperator
 from repro.query.tuples import QTuple
@@ -54,20 +53,10 @@ class NestedLoopJoin(PhysicalOperator):
         return [self.left, self.right]
 
     def _produce(self) -> Iterator[QTuple]:
-        return self._joined(self.left.rows(), list(self.right.rows()))
-
-    def _produce_batches(self) -> Iterator[Batch]:
         # Pairwise condition evaluation is row-at-a-time; the batch win is
         # upstream (vectorized scans/filters feeding both sides).
-        return batches_from_rows(self._joined(
-            rows_from_batches(self.left.batches()),
-            list(rows_from_batches(self.right.batches())),
-        ))
-
-    def _joined(
-        self, left_rows: Iterator[QTuple], inner: list[QTuple]
-    ) -> Iterator[QTuple]:
-        for left_row in left_rows:
+        inner = list(self.right.rows())
+        for left_row in self.left.rows():
             for right_row in inner:
                 pair = _pair_view(left_row, right_row)
                 if self.condition is not None and not evaluate(
@@ -119,18 +108,10 @@ class IndexNestedLoopJoin(PhysicalOperator):
         return [self.left]
 
     def _produce(self) -> Iterator[QTuple]:
-        return self._joined(self.left.rows())
-
-    def _produce_batches(self) -> Iterator[Batch]:
-        return batches_from_rows(
-            self._joined(rows_from_batches(self.left.batches()))
-        )
-
-    def _joined(self, left_rows: Iterator[QTuple]) -> Iterator[QTuple]:
         from repro.query.physical.scans import _make_tuple
 
         table = self.ctx.catalog.table(self.right_table)
-        for left_row in left_rows:
+        for left_row in self.left.rows():
             key = evaluate(self.left_key, left_row, self.ctx.eval_ctx)
             if key is None:
                 continue
@@ -215,14 +196,6 @@ class SummaryIndexNestedLoopJoin(PhysicalOperator):
         return None, key, True, True  # ">="
 
     def _produce(self) -> Iterator[QTuple]:
-        return self._joined(self.left.rows())
-
-    def _produce_batches(self) -> Iterator[Batch]:
-        return batches_from_rows(
-            self._joined(rows_from_batches(self.left.batches()))
-        )
-
-    def _joined(self, left_rows: Iterator[QTuple]) -> Iterator[QTuple]:
         from repro.query.physical.scans import _make_tuple
 
         index = self.ctx.summary_index(self.inner_table, self.instance)
@@ -233,7 +206,7 @@ class SummaryIndexNestedLoopJoin(PhysicalOperator):
                 f"no Summary-BTree on {self.inner_table}/{self.instance}"
             )
         table = self.ctx.catalog.table(self.inner_table)
-        for left_row in left_rows:
+        for left_row in self.left.rows():
             key = evaluate(self.outer_expr, left_row, self.ctx.eval_ctx)
             if key is None or not isinstance(key, int):
                 continue

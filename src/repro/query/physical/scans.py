@@ -132,13 +132,6 @@ class SeqScan(PhysicalOperator):
         self.with_summaries = with_summaries
         self.retained = retained
 
-    def _produce(self) -> Iterator[QTuple]:
-        for oid, values in self.ctx.catalog.table(self.table).scan():
-            yield _make_tuple(
-                self.ctx, self.table, self.alias, oid, values,
-                self.with_summaries, self.retained,
-            )
-
     def _produce_batches(self) -> Iterator[Batch]:
         columns = _scan_columns(self.ctx, self.table, self.alias)
         table = self.ctx.catalog.table(self.table)
@@ -177,16 +170,6 @@ class IndexScan(PhysicalOperator):
         self.lo_inclusive, self.hi_inclusive = lo_inclusive, hi_inclusive
         self.with_summaries = with_summaries
         self.retained = retained
-
-    def _produce(self) -> Iterator[QTuple]:
-        table = self.ctx.catalog.table(self.table)
-        for oid in table.index_range(
-            self.column, self.lo, self.hi, self.lo_inclusive, self.hi_inclusive
-        ):
-            yield _make_tuple(
-                self.ctx, self.table, self.alias, oid, table.read(oid),
-                self.with_summaries, self.retained,
-            )
 
     def _produce_batches(self) -> Iterator[Batch]:
         table = self.ctx.catalog.table(self.table)
@@ -410,25 +393,6 @@ class KeywordIndexScan(PhysicalOperator):
 
         self.with_summaries = with_summaries
         self.retained = retained
-
-    def _produce(self) -> Iterator[QTuple]:
-        index = self.ctx.keyword_index(self.table, self.instance)
-        if index is None:
-            raise PlanError(
-                f"no keyword index on {self.table}/{self.instance}"
-            )
-        table = self.ctx.catalog.table(self.table)
-        candidates = index.candidates(list(self.keywords))
-        if candidates is None:
-            raise PlanError(
-                "keyword index unusable for keywords "
-                f"{self.keywords!r} (shorter than one trigram)"
-            )
-        for oid in sorted(candidates):
-            yield _make_tuple(
-                self.ctx, self.table, self.alias, oid, table.read(oid),
-                self.with_summaries, self.retained,
-            )
 
     def _produce_batches(self) -> Iterator[Batch]:
         index = self.ctx.keyword_index(self.table, self.instance)

@@ -1,5 +1,7 @@
-"""Tuple-at-a-time transform operators: σ, S, F, π, sort/O, group, distinct,
-limit."""
+"""Transform operators: σ, S, F, π, sort/O, group, distinct, limit.
+
+σ/S, π and limit move whole column batches; F, sort/O, group and distinct
+are row logic over their child's :meth:`rows` view."""
 
 from __future__ import annotations
 
@@ -8,7 +10,7 @@ from typing import Iterator
 
 from repro.errors import QueryError
 from repro.query.ast import AggCall, ColumnRef, Expr, Literal, SelectItem, Star
-from repro.query.batch import Batch, batches_from_rows, rows_from_batches
+from repro.query.batch import Batch
 from repro.query.eval import (
     batch_predicate_mask,
     evaluate,
@@ -64,11 +66,6 @@ class FilterOp(PhysicalOperator):
     def children(self):
         return [self.child]
 
-    def _produce(self) -> Iterator[QTuple]:
-        for row in self.child.rows():
-            if evaluate(self.predicate, row, self.ctx.eval_ctx):
-                yield row
-
     def _produce_batches(self) -> Iterator[Batch]:
         for batch in self.child.batches():
             mask = batch_predicate_mask(
@@ -105,16 +102,8 @@ class SummaryFilterOp(PhysicalOperator):
         return [self.child]
 
     def _produce(self) -> Iterator[QTuple]:
-        return self._filtered(self.child.rows())
-
-    def _produce_batches(self) -> Iterator[Batch]:
         # F rewrites every row's summary sets: inherently row-at-a-time.
-        return batches_from_rows(
-            self._filtered(rows_from_batches(self.child.batches()))
-        )
-
-    def _filtered(self, rows: Iterator[QTuple]) -> Iterator[QTuple]:
-        for row in rows:
+        for row in self.child.rows():
             filtered_by_id: dict[int, object] = {}
             new_sets = {}
             for alias, sset in row.summary_sets.items():
@@ -146,30 +135,6 @@ class ProjectOp(PhysicalOperator):
     @property
     def children(self):
         return [self.child]
-
-    def _produce(self) -> Iterator[QTuple]:
-        for row in self.child.rows():
-            columns: list[str] = []
-            values: list[object] = []
-            for item in self.items:
-                if isinstance(item, Star):
-                    for i, column in enumerate(row.columns):
-                        alias = column.split(".", 1)[0]
-                        if item.alias is None or alias == item.alias:
-                            columns.append(column)
-                            values.append(row.values[i])
-                    continue
-                assert isinstance(item, SelectItem)
-                name = item.alias or str(item.expr)
-                columns.append(name)
-                values.append(self._value(item.expr, row))
-            yield QTuple(columns, values, row.summary_sets, row.provenance)
-
-    def _value(self, expr: Expr, row: QTuple) -> object:
-        if isinstance(expr, AggCall):
-            # Aggregates were computed by the Group operator below us.
-            return row.get(str(expr))
-        return evaluate(expr, row, self.ctx.eval_ctx)
 
     def _produce_batches(self) -> Iterator[Batch]:
         for batch in self.child.batches():
@@ -246,20 +211,10 @@ class SortOp(PhysicalOperator):
         return _SortKey(values, [d for _, d in self.keys])
 
     def _produce(self) -> Iterator[QTuple]:
-        return self._sorted(self.child.rows())
-
-    def _produce_batches(self) -> Iterator[Batch]:
-        # Sorting is a full pipeline breaker either way; reuse the row
-        # comparator over the child's batches and re-chunk the output.
-        return batches_from_rows(
-            self._sorted(rows_from_batches(self.child.batches()))
-        )
-
-    def _sorted(self, rows: Iterator[QTuple]) -> Iterator[QTuple]:
+        rows = self.child.rows()
         if self.method == "mem":
-            yield from sorted(rows, key=self._key)
-            return
-        yield from self._external_sort(rows)
+            return iter(sorted(rows, key=self._key))
+        return self._external_sort(rows)
 
     def _external_sort(self, rows: Iterator[QTuple]) -> Iterator[QTuple]:
         sort_key = self._key
@@ -365,22 +320,12 @@ class GroupOp(PhysicalOperator):
         return [self.child]
 
     def _produce(self) -> Iterator[QTuple]:
-        return self._grouped(self.child.rows())
-
-    def _produce_batches(self) -> Iterator[Batch]:
-        # Grouping is a pipeline breaker; group over the child's batches
-        # as rows and re-chunk the aggregated output.
-        return batches_from_rows(
-            self._grouped(rows_from_batches(self.child.batches()))
-        )
-
-    def _grouped(self, rows: Iterator[QTuple]) -> Iterator[QTuple]:
         # Keys are bucketed under a normalized hashable form, but each
         # group's output row carries the first-seen original key values.
         groups: dict[tuple, list[QTuple]] = {}
         originals: dict[tuple, tuple] = {}
         order: list[tuple] = []
-        for row in rows:
+        for row in self.child.rows():
             key = tuple(
                 evaluate(k, row, self.ctx.eval_ctx) for k in self.keys
             )
@@ -469,17 +414,9 @@ class DistinctOp(PhysicalOperator):
         return [self.child]
 
     def _produce(self) -> Iterator[QTuple]:
-        return self._distinct(self.child.rows())
-
-    def _produce_batches(self) -> Iterator[Batch]:
-        return batches_from_rows(
-            self._distinct(rows_from_batches(self.child.batches()))
-        )
-
-    def _distinct(self, rows: Iterator[QTuple]) -> Iterator[QTuple]:
         seen: dict[tuple, QTuple] = {}
         order: list[tuple] = []
-        for row in rows:
+        for row in self.child.rows():
             key = tuple(_hashable(v) for v in row.values)
             if key not in seen:
                 copied = row.copy()
@@ -504,12 +441,6 @@ class LimitOp(PhysicalOperator):
     @property
     def children(self):
         return [self.child]
-
-    def _produce(self) -> Iterator[QTuple]:
-        for i, row in enumerate(self.child.rows()):
-            if i >= self.limit:
-                return
-            yield row
 
     def _produce_batches(self) -> Iterator[Batch]:
         remaining = self.limit

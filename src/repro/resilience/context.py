@@ -3,10 +3,10 @@
 An :class:`ExecutionContext` carries one statement's deadline and cancel
 flag. :meth:`attach` hooks it into a physical plan exactly like the
 profiler (``op.runtime = ctx``, see
-:meth:`repro.query.physical.base.PhysicalOperator.rows`): every operator's
-iterator is wrapped so a check runs at each batch boundary
-(:data:`BATCH_ROWS` rows) plus once at iterator start and end. Because
-every leaf row is pulled from inside some ancestor's ``next()``, a plan
+:meth:`repro.query.physical.base.PhysicalOperator.batches`): every
+operator's batch iterator is wrapped so a check runs at each batch (at
+most :data:`BATCH_ROWS` rows) plus once at iterator start and end. Because
+every leaf batch is pulled from inside some ancestor's ``next()``, a plan
 that is producing rows anywhere hits a checkpoint at least every
 ``BATCH_ROWS`` leaf rows — which is what bounds how far past its deadline
 a statement can run ("within one batch").
@@ -24,7 +24,7 @@ import time
 
 from repro.errors import QueryCancelledError, QueryTimeoutError
 
-#: rows between cancellation/deadline checkpoints in each operator.
+#: rows per batch, and so between cancellation/deadline checkpoints.
 BATCH_ROWS = 64
 
 
@@ -90,21 +90,9 @@ class ExecutionContext:
         return self
 
     def wrap(self, op, inner):
-        """Checkpointing pass-through over one operator's row iterator."""
-        self.check()
-        count = 0
-        for row in inner:
-            count += 1
-            self.rows_seen += 1
-            if count % BATCH_ROWS == 0:
-                self.check()
-            yield row
-        self.check()
-
-    def wrap_batches(self, op, inner):
-        """Batch-mode counterpart of :meth:`wrap`: batches are sized to
-        :data:`BATCH_ROWS`, so one check per batch keeps the same
-        "within one batch" overrun bound as tuple mode."""
+        """Checkpointing pass-through over one operator's batch iterator:
+        batches hold at most :data:`BATCH_ROWS` rows, so one check per
+        batch bounds the overrun to one batch."""
         self.check()
         for batch in inner:
             self.rows_seen += len(batch)

@@ -158,7 +158,7 @@ class RecordCodec:
     def decode_columns(self, records: list[bytes]) -> list[list[object]]:
         """Decode many records straight into column-major lists.
 
-        The batch executor's scan path: values land in per-column lists
+        The executor's scan path: values land in per-column lists
         with no intermediate row objects, reading each record through a
         ``memoryview`` so variable-width fields are sliced without copying
         until their final ``bytes``/``str`` is built.
@@ -201,17 +201,23 @@ class LazyColumn:
     (or any element access) decodes the column via
     :meth:`RecordCodec.decode_column` and memoizes the list. ``take``
     before forcing just subsets the raw records, so a filter that drops
-    most of a batch never decodes the dropped rows at all.
+    most of a batch never decodes the dropped rows at all. Row views read
+    unforced columns straight off :attr:`records` (one
+    :meth:`RecordCodec.decode` per row, see ``Batch.row``).
     """
 
-    __slots__ = ("codec", "records", "index", "_values", "_items")
+    __slots__ = ("codec", "records", "index", "_values")
 
     def __init__(self, codec: RecordCodec, records: list[bytes], index: int):
         self.codec = codec
         self.records = records
         self.index = index
         self._values: list[object] | None = None
-        self._items: dict[int, object] = {}
+
+    @property
+    def forced(self) -> bool:
+        """Whether the whole column has been decoded."""
+        return self._values is not None
 
     def values(self) -> list[object]:
         if self._values is None:
@@ -229,15 +235,7 @@ class LazyColumn:
         return len(self.records)
 
     def __getitem__(self, i):
-        if self._values is not None:
-            return self._values[i]
-        # Single-row access (a row view being built off the batch) decodes
-        # just that record rather than forcing the whole column.
-        value = self._items.get(i)
-        if value is None and i not in self._items:
-            value = self.codec.decode_column([self.records[i]], self.index)[0]
-            self._items[i] = value
-        return value
+        return self.values()[i]
 
     def __iter__(self):
         return iter(self.values())

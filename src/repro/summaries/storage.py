@@ -72,6 +72,21 @@ def _raw_label_count(data: bytes, instance: str, label: str) -> tuple:
     return "ok", (ids.count(b",") + 1) if ids else 0
 
 
+def _objects_label_count(
+    objects: dict[str, SummaryObject] | None, instance: str, label: str
+) -> tuple:
+    """``label_count`` resolution over decoded objects (a cached row)."""
+    obj = objects.get(instance) if objects is not None else None
+    if obj is None:
+        return "ok", None
+    if not isinstance(obj, ClassifierObject):
+        return "fallback", None
+    members = obj.label_elements.get(label)
+    if members is None:
+        return "fallback", None
+    return "ok", len(members)
+
+
 class SummaryStorage:
     """One table's ``R_SummaryStorage``: OID -> {instance -> SummaryObject}."""
 
@@ -138,6 +153,48 @@ class SummaryStorage:
         page_no, slot = struct.unpack("<IH", hits[0])
         return RID(page_no, slot)
 
+    def _rids_for(self, oids: list[int]) -> dict[int, RID]:
+        """RIDs of the stored rows among ``oids`` (absent: no row).
+
+        When the OIDs span a dense range (a scan batch, or the survivors
+        of one), they resolve in a single OID-index range scan instead of
+        one B-Tree descent per tuple; sparse sets, where the range pass
+        would visit mostly unwanted entries, probe per OID.
+        """
+        if not oids:
+            return {}
+        lo, hi = min(oids), max(oids)
+        wanted = set(oids)
+        rids: dict[int, RID] = {}
+        if hi - lo + 1 > 4 * len(wanted):
+            for oid in wanted:
+                rid = self._rid_for(oid)
+                if rid is not None:
+                    rids[oid] = rid
+            return rids
+        for key, value in self.oid_index.range_scan(
+            encode_int(lo), encode_int(hi)
+        ):
+            oid = decode_int(key)
+            if oid in wanted:
+                page_no, slot = struct.unpack("<IH", value)
+                rids[oid] = RID(page_no, slot)
+        return rids
+
+    def _read_through(
+        self, oid: int, rid: RID | None
+    ) -> dict[str, SummaryObject] | None:
+        """Decode ``oid``'s row (at ``rid``; None = no row) and admit it to
+        the cache. The returned objects are the cache's own — copy before
+        mutating."""
+        if rid is None:
+            self.cache.store(self.table_name, oid, None, 0)
+            return None
+        data = self.heap.read(rid)
+        objects = self._decode(data)
+        self.cache.store(self.table_name, oid, objects, len(data))
+        return objects
+
     def get(self, oid: int) -> dict[str, SummaryObject] | None:
         """All summary objects of tuple ``oid`` (None when un-annotated).
 
@@ -152,21 +209,11 @@ class SummaryStorage:
                 return None
             return self._decode(self.heap.read(rid))
         hit, value = cache.lookup(self.table_name, oid)
-        if hit:
-            if value is None:
-                return None
-            return {name: obj.copy() for name, obj in value.items()}
-        rid = self._rid_for(oid)
-        if rid is None:
-            cache.store(self.table_name, oid, None, 0)
+        if not hit:
+            value = self._read_through(oid, self._rid_for(oid))
+        if value is None:
             return None
-        data = self.heap.read(rid)
-        objects = self._decode(data)
-        cache.store(
-            self.table_name, oid,
-            {name: obj.copy() for name, obj in objects.items()}, len(data),
-        )
-        return objects
+        return {name: obj.copy() for name, obj in value.items()}
 
     def label_count(self, oid: int, instance: str, label: str) -> tuple:
         """``("ok", value)`` or ``("fallback", None)`` for the vectorized
@@ -177,66 +224,46 @@ class SummaryStorage:
         the tuple has no storage row / no object under ``instance`` (the
         summary chain nullifies). ``"fallback"`` means the caller must
         materialize and evaluate the row conventionally (non-classifier
-        object, hierarchical rollup label, unusual serialization). Answers
-        come from the cache when one is attached and hot, otherwise from a
-        raw scan of the serialized row — no SummaryObject construction.
+        object, hierarchical rollup label, unusual serialization). With the
+        cache enabled a miss reads through — the row is decoded and
+        admitted, exactly as :meth:`get` does — and the answer comes from
+        the cached objects; without it, from a raw scan of the serialized
+        row with no SummaryObject construction.
         """
-        cache = self.cache
-        if cache is not None and cache.enabled:
-            hit, value = cache.lookup(self.table_name, oid)
-            if hit:
-                if value is None:
-                    return "ok", None
-                obj = value.get(instance)
-                if obj is None:
-                    return "ok", None
-                if not isinstance(obj, ClassifierObject):
-                    return "fallback", None
-                members = obj.label_elements.get(label)
-                if members is None:
-                    return "fallback", None
-                return "ok", len(members)
-        rid = self._rid_for(oid)
-        if rid is None:
-            return "ok", None
-        return _raw_label_count(self.heap.read(rid), instance, label)
+        return self.label_counts([oid], instance, label)[0]
 
     def label_counts(
         self, oids: list[int], instance: str, label: str
     ) -> list[tuple]:
-        """:meth:`label_count` for a whole batch of OIDs at once.
-
-        When the OIDs span a dense range (a scan batch, or the survivors
-        of one), all their RIDs resolve in a single OID-index range scan
-        instead of one B-Tree descent per tuple. Sparse OID sets — where
-        the range pass would visit mostly unwanted entries — fall back to
-        per-OID probes, as does a hot cache.
-        """
+        """:meth:`label_count` for a whole batch of OIDs at once: cache
+        hits answer directly, and the remaining rows' RIDs resolve in one
+        pass (see :meth:`_rids_for`)."""
         cache = self.cache
-        if not oids or (cache is not None and cache.enabled):
-            return [self.label_count(o, instance, label) for o in oids]
-        lo, hi = min(oids), max(oids)
-        wanted = set(oids)
-        if hi - lo + 1 > 4 * len(wanted):
-            return [self.label_count(o, instance, label) for o in oids]
-        rids: dict[int, RID] = {}
-        for key, value in self.oid_index.range_scan(
-            encode_int(lo), encode_int(hi)
-        ):
-            oid = decode_int(key)
-            if oid in wanted:
-                page_no, slot = struct.unpack("<IH", value)
-                rids[oid] = RID(page_no, slot)
-        out: list[tuple] = []
-        for oid in oids:
+        cached = cache is not None and cache.enabled
+        answers: dict[int, tuple] = {}
+        misses = oids
+        if cached:
+            misses = []
+            for oid in oids:
+                hit, value = cache.lookup(self.table_name, oid)
+                if hit:
+                    answers[oid] = _objects_label_count(value, instance, label)
+                else:
+                    misses.append(oid)
+        rids = self._rids_for(misses)
+        for oid in misses:
             rid = rids.get(oid)
-            if rid is None:
-                out.append(("ok", None))
-            else:
-                out.append(
-                    _raw_label_count(self.heap.read(rid), instance, label)
+            if cached:
+                answers[oid] = _objects_label_count(
+                    self._read_through(oid, rid), instance, label
                 )
-        return out
+            elif rid is None:
+                answers[oid] = ("ok", None)
+            else:
+                answers[oid] = _raw_label_count(
+                    self.heap.read(rid), instance, label
+                )
+        return [answers[oid] for oid in oids]
 
     def put(self, oid: int, objects: dict[str, SummaryObject]) -> bool:
         """Insert or replace the summary row of ``oid``.

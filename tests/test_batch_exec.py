@@ -1,10 +1,11 @@
-"""Vectorized batch execution (DESIGN.md §5f).
+"""Column-batch execution (DESIGN.md §5f).
 
-The acceptance property: batch mode (``Database(batch_exec=True)`` /
-``REPRO_BATCH_EXEC``) is observably identical to tuple mode — same rows
-in the same order, same propagated summaries, same EXPLAIN ANALYZE
-per-operator row counts — across every operator shape and access path,
-while deadlines and cancellation keep firing at batch boundaries.
+The reference oracle for the vectorized predicates is scalar
+:func:`~repro.query.eval.evaluate`: on real scan batches,
+``batch_predicate_mask`` must agree with it row for row, across label
+comparisons, data comparisons, ``LIKE``, ``containsUnion`` and any
+``And``/``Or``/``Not`` nesting of them. Deadlines and cancellation must
+keep firing at batch boundaries on every operator shape.
 
 Also unit-covers the :mod:`repro.query.batch` carriers and the storage
 layer's raw ``label_count`` fast path against its full-parse oracle.
@@ -15,14 +16,19 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import QueryCancelledError, QueryError, QueryTimeoutError
 from repro.query.batch import Batch, batches_from_rows, rows_from_batches
+from repro.query.eval import batch_predicate_mask, evaluate
 from repro.query.parser import parse_sql
+from repro.query.physical import SeqScan
 from repro.query.tuples import QTuple
 from repro.resilience import ExecutionContext
 from repro.summaries.storage import _parsed_label_count, _raw_label_count
 from repro.workload.generator import WorkloadConfig, build_database
+from tests.test_explain_analyze import analyze_with_totals, assert_attribution
 
 SP_QUERY = (
     "Select common_name From birds r Where "
@@ -50,7 +56,7 @@ OPERATOR_QUERIES = [
      "r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') > 0"),
 ]
 
-MODES = {
+ACCESS_PATHS = {
     "noindex": ("none", False),
     "summary_btree": ("summary_btree", False),
     "baseline": ("baseline", False),
@@ -68,19 +74,8 @@ def db():
     return database
 
 
-@pytest.fixture(autouse=True)
-def _tuple_mode(db):
-    """Every test starts and ends in tuple mode with default options."""
-    db.batch_exec = False
-    yield
-    db.batch_exec = False
-    db.options.force_access = None
-    db.options.index_scheme = "summary_btree"
-    db.options.normalized_propagation = False
-
-
 def snapshot(result):
-    """Order-sensitive observable output: values + summary displays."""
+    """Observable output: values + summary displays, in result order."""
     return [
         (
             tuple(result.columns),
@@ -92,74 +87,37 @@ def snapshot(result):
     ]
 
 
-def run_mode(db, sql, batch: bool):
-    db.batch_exec = batch
-    try:
-        return snapshot(db.sql(sql))
-    finally:
-        db.batch_exec = False
+class TestAccessPathAgreement:
+    @pytest.mark.parametrize("mode", list(ACCESS_PATHS))
+    def test_access_paths_agree(self, db, mode):
+        # Every access path returns the heap scan's rows with the same
+        # propagated summaries (the normalized Baseline path rebuilds them).
+        scheme, normalized = ACCESS_PATHS[mode]
+        try:
+            db.options.index_scheme = "none"
+            reference = sorted(snapshot(db.sql(SP_QUERY)))
+            db.options.index_scheme = scheme
+            db.options.normalized_propagation = normalized
+            db.options.force_access = "index" if scheme != "none" else None
+            got = sorted(snapshot(db.sql(SP_QUERY)))
+        finally:
+            db.options.index_scheme = "summary_btree"
+            db.options.normalized_propagation = False
+            db.options.force_access = None
+        assert got == reference
 
 
-class TestModeEquivalence:
+class TestOperatorShapes:
     @pytest.mark.parametrize("sql", OPERATOR_QUERIES)
-    def test_rows_and_summaries_identical(self, db, sql):
-        assert run_mode(db, sql, True) == run_mode(db, sql, False)
-
-    @pytest.mark.parametrize("sql", OPERATOR_QUERIES)
-    def test_explain_analyze_row_counts_identical(self, db, sql):
-        def counts(batch):
-            db.batch_exec = batch
-            try:
-                report = db.sql(f"Explain Analyze {sql}")
-            finally:
-                db.batch_exec = False
-            return [
-                (op["label"], op["rows"])
-                for op in report.execution["operators"]
-            ]
-
-        got, expected = counts(True), counts(False)
-        if "Limit" in sql:
-            # Below a Limit, batch mode legitimately over-produces: the
-            # scan emits a whole batch where tuple mode pulls row-by-row.
-            # The plan's output (the pre-order root) must still agree.
-            assert got[0] == expected[0]
-        else:
-            assert got == expected
-
-    @pytest.mark.parametrize("mode", list(MODES))
-    def test_access_paths_agree_under_batch_mode(self, db, mode):
-        scheme, normalized = MODES[mode]
-        baseline = run_mode(db, SP_QUERY, False)
-        db.options.index_scheme = scheme
-        db.options.normalized_propagation = normalized
-        db.options.force_access = "index" if scheme != "none" else None
-        got = run_mode(db, SP_QUERY, True)
-        assert sorted(got) == sorted(baseline)
-
-    def test_dml_equivalent_in_batch_mode(self):
-        def run(batch: bool) -> list:
-            database = build_database(WorkloadConfig(
-                num_birds=12, annotations_per_tuple=5, indexes="both",
-                cell_fraction=0.0, seed=9,
-            ))
-            database.batch_exec = batch
-            updated = database.sql(
-                "Update birds Set family = 'X' Where aou_id > 10005"
-            )
-            deleted = database.sql("Delete From birds Where aou_id <= 10002")
-            rows = snapshot(database.sql(
-                "Select aou_id, family From birds Order By aou_id"
-            ))
-            return [updated, deleted, rows]
-
-        assert run(True) == run(False)
+    def test_explain_analyze_invariants(self, db, sql):
+        ops, totals = analyze_with_totals(db, sql)
+        assert_attribution(ops, totals)
+        assert ops[0]["rows"] == len(db.sql(sql))
 
 
 class TestBatchModeResilience:
     @pytest.mark.parametrize("sql", OPERATOR_QUERIES)
     def test_zero_timeout_trips_first_checkpoint(self, db, sql):
-        db.batch_exec = True
         with pytest.raises(QueryTimeoutError) as err:
             db.execute(sql, timeout=0)
         assert err.value.partial["checks"] >= 1
@@ -204,6 +162,87 @@ class TestBatchModeResilience:
             list(batches)
 
 
+# -- the scalar oracle for vectorized predicates ------------------------------------
+
+CMP_OPS = ["=", "<>", "<", "<=", ">", ">="]
+LABEL_EXPR = "r.$.getSummaryObject('ClassBird1').getLabelValue"
+KEYWORDS = ["volunteer", "juvenile", "coast", "survey", "infection", "zebra"]
+
+label_comparisons = st.builds(
+    "{}('{}') {} {}".format,
+    st.just(LABEL_EXPR),
+    st.sampled_from(["Disease", "Anatomy", "Behavior", "Other"]),
+    st.sampled_from(CMP_OPS),
+    st.integers(0, 10),
+)
+data_comparisons = st.one_of(
+    st.builds("r.aou_id {} {}".format,
+              st.sampled_from(CMP_OPS), st.integers(9995, 10045)),
+    st.builds("{} {} r.aou_id".format,
+              st.integers(9995, 10045), st.sampled_from(CMP_OPS)),
+    st.builds("r.wingspan_cm {} {}".format,
+              st.sampled_from(CMP_OPS),
+              st.sampled_from(["50", "99.9", "150.5"])),
+    st.builds("r.family {} '{}'".format,
+              st.sampled_from(CMP_OPS),
+              st.sampled_from(["Anatidae", "Laridae", "Zz"])),
+    st.builds("r.aou_id {} r.wingspan_cm".format, st.sampled_from(CMP_OPS)),
+)
+likes = st.builds(
+    "r.{} Like '{}'".format,
+    st.sampled_from(["common_name", "family", "conservation"]),
+    st.sampled_from(["%a%", "A%", "%idae", "_a%", "%bird 1_", "%"]),
+)
+contains_unions = st.builds(
+    lambda kws: "r.$.getSummaryObject('TextSummary1').containsUnion({})"
+    .format(", ".join(f"'{k}'" for k in kws)),
+    st.lists(st.sampled_from(KEYWORDS), min_size=1, max_size=3),
+)
+predicates = st.recursive(
+    st.one_of(label_comparisons, data_comparisons, likes, contains_unions),
+    lambda inner: st.one_of(
+        st.builds("({} And {})".format, inner, inner),
+        st.builds("({} Or {})".format, inner, inner),
+        st.builds("Not ({})".format, inner),
+    ),
+    max_leaves=5,
+)
+
+
+@pytest.fixture(scope="module")
+def oracle_db():
+    database = build_database(WorkloadConfig(
+        num_birds=40, annotations_per_tuple=10, indexes="none",
+        cell_fraction=0.0, seed=11,
+    ))
+    # NULL data values and a tuple without any summaries.
+    database.insert("birds", {"common_name": "nulls", "aou_id": None})
+    return database
+
+
+class TestPredicateOracle:
+    """``batch_predicate_mask`` equals scalar ``evaluate`` on every row."""
+
+    @given(predicate=predicates, keep=st.lists(st.booleans(), min_size=64,
+                                               max_size=64))
+    @settings(max_examples=120, deadline=None)
+    def test_mask_matches_scalar_evaluate(self, oracle_db, predicate, keep):
+        expr = parse_sql(f"Select * From birds r Where {predicate}").where
+        ctx = oracle_db.planner.exec_context()
+        for batch in SeqScan(ctx, "birds", "r").batches():
+            # Fresh lazy batches, and sub-batches as a filter leaves them.
+            subset = batch.take(
+                [i for i in range(len(batch)) if keep[i % len(keep)]]
+            )
+            for candidate in (batch, subset):
+                mask = batch_predicate_mask(expr, candidate, ctx.eval_ctx)
+                expected = [
+                    bool(evaluate(expr, candidate.row(i), ctx.eval_ctx))
+                    for i in range(len(candidate))
+                ]
+                assert mask.tolist() == expected, predicate
+
+
 class TestLabelCountFastPath:
     def test_raw_scan_matches_full_parse_on_every_stored_row(self, db):
         storage = db.manager.storage_for("birds")
@@ -243,6 +282,25 @@ class TestLabelCountFastPath:
 
 def _plain(values, columns=("a", "b")):
     return QTuple(list(columns), list(values), {}, {})
+
+
+class TestOnePullProtocol:
+    def test_every_operator_has_exactly_one_body(self):
+        import repro.query.physical as physical
+        from repro.query.physical.base import PhysicalOperator
+
+        for name in physical.__all__:
+            op = getattr(physical, name)
+            if not (isinstance(op, type) and issubclass(op, PhysicalOperator)
+                    and op is not PhysicalOperator):
+                continue
+            bodies = {
+                method for klass in op.__mro__
+                if klass is not PhysicalOperator
+                for method in ("_produce", "_produce_batches")
+                if method in vars(klass)
+            }
+            assert len(bodies) == 1, (name, bodies)
 
 
 class TestBatchCarrier:

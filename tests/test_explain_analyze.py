@@ -1,12 +1,17 @@
 """EXPLAIN [ANALYZE] observability: the annotated plan tree, the
-per-operator attribution invariant (exclusive counters sum exactly to the
-run's totals), index-probe counters, and maintenance-event counters."""
+per-operator attribution invariant (exclusive counters are never negative
+and sum exactly to the run's totals, on hand-picked and on fuzz-generated
+plans), index-probe counters, and maintenance-event counters."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Column, Database, ValueType
 from repro.core.database import QueryReport
 from repro.errors import QueryError
+from repro.workload.generator import WorkloadConfig, build_database
+from tests.test_plan_fuzz import LABELS, build_query, predicates
 
 SEEDS = [
     ("flu virus infection outbreak", "Disease"),
@@ -194,3 +199,93 @@ class TestCounters:
         assert report.execution["metrics"].get(
             "index.summary.t.C.probes", 0
         ) >= 1
+
+
+# -- the attribution invariant on every plan shape ----------------------------------
+
+SELF_COUNTERS = ("pages", "hits", "misses", "reads", "writes")
+ACCESS_MODES = [
+    ("none", None, False),
+    ("summary_btree", "index", False),
+    ("baseline", "index", False),
+    ("baseline", "index", True),
+    ("summary_btree", None, False),
+]
+
+
+def analyze_with_totals(db: Database, query: str) -> tuple[list, dict]:
+    """EXPLAIN ANALYZE ``query``; return its operator entries and the
+    run's buffer-pool and disk deltas."""
+    pool, io_stats = db.pool, db.disk.stats
+    hits0, misses0 = pool.hits, pool.misses
+    io_before = io_stats.snapshot()
+    report = db.sql(f"Explain Analyze {query}")
+    io = io_stats.delta(io_before)
+    totals = {
+        "hits": pool.hits - hits0,
+        "misses": pool.misses - misses0,
+        "reads": io.reads,
+        "writes": io.writes,
+    }
+    totals["pages"] = totals["hits"] + totals["misses"]
+    return report.execution["operators"], totals
+
+
+def assert_attribution(ops: list, totals: dict) -> None:
+    for name in SELF_COUNTERS:
+        column = [op[f"self_{name}"] for op in ops]
+        assert min(column) >= 0, (name, ops)
+        assert sum(column) == totals[name], (name, totals, ops)
+
+
+@pytest.fixture(scope="module")
+def fuzz_db():
+    database = build_database(WorkloadConfig(
+        num_birds=30, annotations_per_tuple=20, indexes="both",
+        cell_fraction=0.0, seed=6, buffer_pages=12,  # misses, reads, writes
+    ))
+    database.create_normalized_replicas("birds")
+    return database
+
+
+class TestAttributionInvariant:
+    def test_nested_loop_join_drains_inner_inside_its_window(self):
+        # The join materializes its inner side when first pulled; those
+        # pages belong to the join's subtree, never to its parent.
+        db = build_database(WorkloadConfig(
+            num_birds=60, annotations_per_tuple=20, cell_fraction=0.0,
+            seed=1,
+        ))
+        ops, totals = analyze_with_totals(
+            db,
+            "Select r.common_name, s.synonym From birds r, synonyms s "
+            "Where r.oid = s.bird_id",
+        )
+        assert any(op["label"].startswith("NestedLoopJoin") for op in ops)
+        assert_attribution(ops, totals)
+
+    @given(
+        preds=predicates,
+        order_label=st.one_of(st.none(), st.sampled_from(LABELS)),
+        descending=st.booleans(),
+        limit=st.one_of(st.none(), st.integers(1, 10)),
+        access=st.sampled_from(ACCESS_MODES),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_self_counters_non_negative_and_sum_to_run(
+        self, fuzz_db, preds, order_label, descending, limit, access
+    ):
+        scheme, force, normalized = access
+        options = fuzz_db.options
+        options.index_scheme = scheme
+        options.force_access = force
+        options.normalized_propagation = normalized
+        try:
+            ops, totals = analyze_with_totals(
+                fuzz_db, build_query(preds, order_label, descending, limit)
+            )
+        finally:
+            options.index_scheme = "summary_btree"
+            options.force_access = None
+            options.normalized_propagation = False
+        assert_attribution(ops, totals)

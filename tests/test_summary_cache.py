@@ -289,6 +289,36 @@ class TestReadThrough:
         assert sorted(rows_on) == sorted(rows_off)
         assert rows_on  # not vacuously equal
 
+    def test_label_count_miss_populates_cache(self, monkeypatch):
+        # The vectorized label probe reads through on a miss, so after one
+        # SP scan a second one answers every probe (and every survivor's
+        # summary set) from the cache without touching the summary heap.
+        db = build_db()
+        storage = db.manager.storage_for("t")
+        assert storage.label_count(3, "C", "alpha") == ("ok", 0)
+        assert storage.label_count(2, "C", "alpha") == ("ok", 1)
+        hits0 = db.manager.cache.hits
+        assert storage.label_count(2, "C", "alpha") == ("ok", 1)
+        assert db.manager.cache.hits == hits0 + 1
+        touched: list[int] = []
+        get_page = db.pool.get_page
+
+        def counting_get_page(page_id):
+            touched.append(page_id)
+            return get_page(page_id)
+
+        monkeypatch.setattr(db.pool, "get_page", counting_get_page)
+        q = ("SELECT t.name FROM t "
+             "WHERE t.$.getSummaryObject('C').getLabelValue('alpha') >= 1")
+        first = db.sql(q)
+        heap_pages = set(storage.heap.page_ids)
+        assert heap_pages & set(touched)
+        touched.clear()
+        second = db.sql(q)
+        assert [r.values for r in second] == [r.values for r in first]
+        assert len(second) == 6
+        assert not heap_pages & set(touched)
+
     def test_disabled_cache_stores_nothing(self):
         db = build_db(cache_bytes=0)
         db.manager.storage_for("t").get(1)
